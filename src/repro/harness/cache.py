@@ -39,7 +39,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from contextlib import contextmanager
+from multiprocessing import util as mp_util
 from pathlib import Path
 from typing import Any, Optional
 
@@ -56,6 +58,18 @@ _CODE_VERSION: Optional[str] = None
 
 #: sentinel: a corrupt entry was deleted, the read stays a miss
 _MISS = object()
+
+#: serialises this process's ``stats.json`` read-modify-writes (a
+#: forked child gets a fresh one: the parent's may be held mid-write)
+_STATS_LOCK = threading.Lock()
+
+
+def _fresh_stats_lock() -> None:
+    global _STATS_LOCK
+    _STATS_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_stats_lock)
 
 
 def default_cache_dir() -> Path:
@@ -256,24 +270,31 @@ class ResultCache:
     def _stats_path(self) -> Path:
         return self.root / "stats.json"
 
-    def _bump_stats(self, hit: bool, corrupt: bool = False,
+    def _bump_stats(self, hit: Optional[bool], corrupt: bool = False,
                     replaced: bool = False, evicted: int = 0) -> None:
-        stats = self.read_stats()
-        stats["hits" if hit else "misses"] += 1
-        if corrupt:
-            stats["corrupt_deleted"] += 1
-        if replaced:
-            stats["corrupt_replaced"] += 1
-        if evicted:
+        """Add one read (``hit`` True/False; None for none) and the
+        given events to the persistent counters.  The read-modify-write
+        holds the process-wide stats lock, so concurrent threads never
+        lose each other's counts; each thread renames its own temp
+        file into place."""
+        with _STATS_LOCK:
+            stats = self.read_stats()
+            if hit is not None:
+                stats["hits" if hit else "misses"] += 1
+            if corrupt:
+                stats["corrupt_deleted"] += 1
+            if replaced:
+                stats["corrupt_replaced"] += 1
             stats["evicted"] += evicted
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            tmp = self._stats_path.with_name(
-                f".stats.json.{os.getpid()}.tmp")
-            tmp.write_text(_canonical(stats))
-            tmp.replace(self._stats_path)
-        except OSError:  # stats are best-effort; never fail a sweep
-            pass
+            try:
+                self.root.mkdir(parents=True, exist_ok=True)
+                tmp = self._stats_path.with_name(
+                    f".stats.json.{os.getpid()}."
+                    f"{threading.get_ident()}.tmp")
+                tmp.write_text(_canonical(stats))
+                tmp.replace(self._stats_path)
+            except OSError:  # stats are best-effort; never fail a sweep
+                pass
 
     def read_stats(self) -> dict:
         """Persistent lifetime hit/miss counters for this cache dir."""
@@ -331,6 +352,9 @@ class SharedStore(ResultCache):
     * **Advisory locking** — each write holds an exclusive ``flock`` on
       the entry's ``.lock`` sibling; eviction probes the same lock
       non-blockingly and *never* removes an entry that is mid-write.
+      The store records the lock fds it holds and a forked child
+      closes its copies, so a long-lived worker process forked
+      mid-write cannot keep the entry locked after the write ends.
     * **LRU eviction** — ``max_bytes`` caps the store; hits refresh an
       entry's mtime (its recency), and :meth:`evict` drops the
       least-recently-used entries until the store fits.  Eviction runs
@@ -353,6 +377,19 @@ class SharedStore(ResultCache):
         self.max_bytes = max_bytes
         self.evict_every = evict_every
         self._writes = 0
+        #: entry-lock fds currently held by this process's threads
+        self._lock_fds: set[int] = set()
+        mp_util.register_after_fork(self, SharedStore._drop_locks)
+
+    def _drop_locks(self) -> None:
+        """Runs in forked children: close the inherited entry-lock fds
+        (a ``flock`` lives until *every* copy of its fd is closed)."""
+        for fd in self._lock_fds:
+            try:
+                os.close(fd)
+            except OSError:
+                pass
+        self._lock_fds = set()
 
     def _path(self, kind: str, spec: dict) -> Path:
         key = self.key(kind, spec)
@@ -373,6 +410,7 @@ class SharedStore(ResultCache):
         lock = self._lock_path(path)
         lock.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(lock, os.O_RDWR | os.O_CREAT, 0o644)
+        self._lock_fds.add(fd)
         try:
             flags = fcntl.LOCK_EX | (0 if blocking else fcntl.LOCK_NB)
             try:
@@ -382,6 +420,7 @@ class SharedStore(ResultCache):
                 return
             yield True
         finally:
+            self._lock_fds.discard(fd)
             os.close(fd)  # closing drops the lock
 
     def put(self, kind: str, spec: dict, result: Any) -> None:
@@ -473,13 +512,5 @@ class SharedStore(ResultCache):
                 pass
         if removed:
             self.metrics.inc("cache.evicted", removed)
-            stats_only = self.read_stats()
-            stats_only["evicted"] += removed
-            try:
-                tmp = self._stats_path.with_name(
-                    f".stats.json.{os.getpid()}.tmp")
-                tmp.write_text(_canonical(stats_only))
-                tmp.replace(self._stats_path)
-            except OSError:
-                pass
+            self._bump_stats(hit=None, evicted=removed)
         return removed

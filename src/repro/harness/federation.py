@@ -9,7 +9,8 @@ leases**:
 * the agent registers (a stable, client-chosen id), then loops:
   claim up to ``--slots`` leases → compute each point through the same
   :func:`repro.harness.parallel.compute_point` the daemon's local
-  executor runs → report completions;
+  executor runs, in one of ``--slots`` persistent point workers →
+  report completions;
 * a heartbeat thread renews every held lease on an interval the
   coordinator suggests (ttl/3); if the agent dies or is partitioned
   away, the unrenewed leases expire and the coordinator re-queues the
@@ -40,7 +41,7 @@ import threading
 import time
 from typing import Any, Optional
 
-from repro.harness.parallel import RetryPolicy, compute_point
+from repro.harness.parallel import RetryPolicy, WorkerPool, compute_point
 from repro.harness.service import ServiceClient, resolve_worker
 
 __all__ = ["FederationAgent", "run_agent"]
@@ -78,6 +79,8 @@ class FederationAgent:
         self._held: dict[str, dict] = {}
         self._summary = {"points": 0, "duplicates": 0,
                          "reconnects": 0}
+        #: the slots' persistent point workers, joined when run() exits
+        self.pool = WorkerPool(self.slots)
 
     # -- coordinator conversation -------------------------------------------
     def _register(self) -> bool:
@@ -156,7 +159,7 @@ class FederationAgent:
             result, attempts = compute_point(
                 worker, grant["spec"], policy,
                 measure=grant.get("measure"), store=None,
-                kind=grant.get("kind", "sweep"))
+                kind=grant.get("kind", "sweep"), pool=self.pool)
         except Exception as exc:  # defensive: never lose a lease
             result = {"sweep_error": {"type": type(exc).__name__,
                                       "message": str(exc),
@@ -236,6 +239,7 @@ class FederationAgent:
                 time.sleep(self.poll_s)
         finally:
             self.stop.set()
+            self.pool.close()
             hb.join(timeout=2.0)
             if self.agent_id is not None:
                 try:

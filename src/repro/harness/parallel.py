@@ -26,17 +26,20 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Optional, Sequence
 
 from repro.harness.cache import ResultCache
 
 __all__ = ["resolve_jobs", "sweep", "measured_sweep",
            "is_error_record", "error_record", "PointTimeout",
-           "WorkerDied", "RetryPolicy", "run_reaped",
+           "WorkerDied", "RetryPolicy", "WorkerPool", "run_reaped",
            "compute_with_retry", "compute_point"]
 
 
@@ -305,81 +308,269 @@ class RetryPolicy:
 
 
 def _point_child(worker: Callable[[dict], Any], spec: dict, conn) -> None:
-    """Child-process body: compute one point, ship the outcome back."""
+    """Worker-process body for one point: compute it, ship the outcome
+    back over ``conn`` (which stays open for the next point)."""
     # Local alias: this is a multiprocessing pipe, not a simulation
     # coroutine — the alias also keeps the self-lint (CLM001) focused on
     # real sim-API misuse.
     ship = conn.send
     try:
+        ship(("ok", worker(spec)))
+    except Exception as exc:
+        ship(("error", error_record(spec, exc)))
+
+
+#: parent-side pipe ends of every live pooled worker in this process.  A
+#: freshly forked worker closes them all — its own included — so each
+#: worker's pipe reaches EOF the moment its real parent is gone.
+_PARENT_ENDS: set[Any] = set()
+
+#: held from a worker's pipe creation until the parent closed its copy
+#: of the child end, so no other pooled fork inherits a pipe end that is
+#: not yet in :data:`_PARENT_ENDS` (or a sentinel not yet closed)
+_FORK_LOCK = threading.Lock()
+
+#: how often an idle worker checks that its parent is still the one
+#: that forked it (EOF on the pipe is the fast path; this is the net)
+_ORPHAN_CHECK_S = 0.5
+
+
+def _worker_loop(point_child: Callable, worker: Callable[[dict], Any],
+                 conn, parent_pid: int) -> None:
+    """Pooled-worker body: ``point_child(worker, spec, conn)`` for every
+    spec the parent sends, until the pipe reaches EOF or the parent that
+    forked this process is gone."""
+    # the parent's handlers are not ours: a daemon's SIGTERM drain run
+    # here would rewrite its journal from this process's stale copy
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    for end in list(_PARENT_ENDS):
+        end.close()
+    while True:
+        if not conn.poll(_ORPHAN_CHECK_S):
+            if os.getppid() != parent_pid:
+                return
+            continue
         try:
-            ship(("ok", worker(spec)))
-        except Exception as exc:
-            ship(("error", error_record(spec, exc)))
-    finally:
-        conn.close()
+            spec = conn.recv()
+        except (EOFError, OSError):
+            return
+        point_child(worker, spec, conn)
+
+
+class _Worker:
+    """Parent-side handle on one pooled worker process."""
+
+    __slots__ = ("proc", "conn", "binding")
+
+    def __init__(self, binding: tuple):
+        ctx = multiprocessing.get_context()
+        self.binding = binding
+        with _FORK_LOCK:
+            self.conn, child = ctx.Pipe()
+            self.proc = ctx.Process(
+                target=_worker_loop,
+                args=(binding[0], binding[1], child, os.getpid()),
+                daemon=True)
+            _PARENT_ENDS.add(self.conn)
+            try:
+                self.proc.start()
+            except BaseException:
+                _PARENT_ENDS.discard(self.conn)
+                self.conn.close()
+                raise
+            finally:
+                child.close()
+
+    def close(self, kill: bool = False) -> None:
+        """Retire the worker: EOF on its pipe (or SIGKILL), then join."""
+        _PARENT_ENDS.discard(self.conn)
+        if kill:
+            self.proc.kill()
+        self.conn.close()
+        self.proc.join(timeout=5.0)
+        if self.proc.is_alive():  # pragma: no cover - ignored its EOF
+            self.proc.kill()
+            self.proc.join()
+
+
+class WorkerPool:
+    """Persistent forked point workers, at most ``size`` kept alive.
+
+    A worker is forked on first demand and bound for life to the
+    ``(parallel._point_child, worker)`` pair its parent resolved at
+    fork time; :meth:`checkout` hands it out again only while the parent
+    still resolves the same pair, so the code a pooled worker runs is
+    exactly what a fresh per-point fork would run — only specs and rows
+    cross its pipe.  A worker that timed out or died is discarded (and
+    counted in :attr:`reaps`); every other worker survives its point.
+
+    The owner — the sweep service (``size=jobs``) or a federation agent
+    (``size=slots``) — calls :meth:`close` to join the idle workers;
+    a busy worker is joined by the thread running it when it finishes.
+    """
+
+    def __init__(self, size: int = 1):
+        self.size = max(1, int(size))
+        self._idle: list[_Worker] = []
+        self._busy: set = set()
+        self._lock = threading.Lock()
+        self._closed = False
+        #: workers forked, and workers discarded per reason
+        self.starts = 0
+        self.reaps = {"timeout": 0, "died": 0}
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def pids(self) -> list[int]:
+        """Process ids of every live worker, idle or busy."""
+        with self._lock:
+            return sorted(w.proc.pid for w in [*self._idle, *self._busy])
+
+    def stats(self) -> dict:
+        """Lifecycle counters and live workers (the service's ``stats``
+        op reports this as ``worker_pool``)."""
+        pids = self.pids()
+        return {"size": self.size, "live": len(pids), "pids": pids,
+                "starts": self.starts, "reaps": dict(self.reaps)}
+
+    def checkout(self, binding: tuple) -> _Worker:
+        """An idle worker bound to ``binding``, else a freshly forked
+        one (retiring an idle worker with a stale binding if the pool
+        is full)."""
+        dead: list[_Worker] = []
+        with self._lock:
+            found = None
+            for w in reversed(self._idle):
+                if w.binding == binding:
+                    if w.proc.is_alive():
+                        found = w
+                        break
+                    dead.append(w)  # killed from outside while idle
+            for w in dead:
+                self._idle.remove(w)
+                self.reaps["died"] += 1
+            if found is not None:
+                self._idle.remove(found)
+                self._busy.add(found)
+            else:
+                if self._idle and \
+                        len(self._idle) + len(self._busy) >= self.size:
+                    dead.append(self._idle.pop(0))
+                self.starts += 1
+        for w in dead:
+            w.close()
+        if found is not None:
+            return found
+        fresh = _Worker(binding)
+        with self._lock:
+            self._busy.add(fresh)
+        return fresh
+
+    def checkin(self, w: _Worker) -> None:
+        """Return a worker that delivered its point's outcome."""
+        with self._lock:
+            self._busy.discard(w)
+            keep = (not self._closed and
+                    len(self._idle) + len(self._busy) < self.size)
+            if keep:
+                self._idle.append(w)
+        if not keep:
+            w.close()
+
+    def discard(self, w: _Worker, reason: str) -> None:
+        """Kill and join a worker that timed out or died mid-point."""
+        with self._lock:
+            self._busy.discard(w)
+            self.reaps[reason] += 1
+        w.close(kill=True)
+
+    def close(self) -> None:
+        """Join every idle worker; later checkins join theirs."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for w in idle:
+            w.close()
 
 
 def run_reaped(worker: Callable[[dict], Any], spec: dict,
-               timeout_s: Optional[float] = None) -> Any:
-    """One point in a fresh process with a hard wall-clock deadline.
+               timeout_s: Optional[float] = None,
+               pool: Optional[WorkerPool] = None) -> Any:
+    """One point in a reapable worker process with a hard wall-clock
+    deadline.
 
-    Returns the worker's result (or its error record, if it raised).
-    A point still running at the deadline is SIGKILLed and raises
+    The point runs in an idle worker of ``pool`` (or a freshly forked
+    one; with no pool, in a one-point pool of its own).  Returns the
+    worker's result (or its error record, if it raised).  A point still
+    running at the deadline has its worker SIGKILLed and raises
     :class:`PointTimeout`; a worker that dies without reporting (killed
     from outside, interpreter crash) raises :class:`WorkerDied`.  Either
-    way the stuck/poisoned process is reaped — a hung worker can never
-    hang the caller.
+    way only that worker is discarded — a hung worker can never hang
+    the caller, and a poisoned one can never serve another point.
     """
-    ctx = multiprocessing.get_context()
-    parent, child = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_point_child, args=(worker, spec, child),
-                       daemon=True)
-    proc.start()
-    child.close()
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
+    if pool is None:
+        with WorkerPool(1) as own:
+            return _run_in_pool(own, worker, spec, timeout_s)
+    return _run_in_pool(pool, worker, spec, timeout_s)
+
+
+def _run_in_pool(pool: WorkerPool, worker: Callable[[dict], Any],
+                 spec: dict, timeout_s: Optional[float]) -> Any:
+    w = pool.checkout((_point_child, worker))
     try:
-        while True:
-            if parent.poll(0.02):
-                try:
-                    status, payload = parent.recv()
-                except (EOFError, OSError) as exc:
-                    proc.join()
-                    raise WorkerDied(
-                        f"worker exited (code {proc.exitcode}) without "
-                        "a result") from exc
-                proc.join()
-                return payload
-            if not proc.is_alive():
-                # drain the race window between poll() and is_alive()
-                if parent.poll(0):
-                    try:
-                        status, payload = parent.recv()
-                        proc.join()
-                        return payload
-                    except (EOFError, OSError):
-                        pass
-                proc.join()
-                raise WorkerDied(
-                    f"worker exited (code {proc.exitcode}) without "
-                    "a result")
-            if deadline is not None and time.monotonic() >= deadline:
-                proc.kill()
-                proc.join()
-                raise PointTimeout(
-                    f"point exceeded its {timeout_s}s budget and was "
-                    "reaped")
-    finally:
-        parent.close()
-        if proc.is_alive():  # pragma: no cover - belt and braces
-            proc.kill()
-            proc.join()
+        outcome, payload = _await_point(w, spec, timeout_s)
+    except BaseException:  # the caller was interrupted: state unknown
+        pool.discard(w, "died")
+        raise
+    if outcome == "ok":
+        pool.checkin(w)
+        return payload
+    pool.discard(w, outcome)
+    if outcome == "timeout":
+        raise PointTimeout(
+            f"point exceeded its {timeout_s}s budget and was reaped")
+    raise WorkerDied(f"worker exited (code {w.proc.exitcode}) without "
+                     "a result")
+
+
+def _await_point(w: _Worker, spec: dict,
+                 timeout_s: Optional[float]) -> tuple[str, Any]:
+    """Send ``spec`` to ``w`` and wait for its outcome: ``("ok", row)``,
+    ``("timeout", None)`` at the deadline, or ``("died", None)``."""
+    deadline = None if timeout_s is None else time.monotonic() + timeout_s
+    post = w.conn.send  # a pipe, not a coroutine (see _point_child)
+    try:
+        post(spec)
+    except OSError:
+        pass  # the worker is gone: the wait below sees it exit
+    while True:
+        # a result or an exit wakes us at once; the 0.1 s slice is a
+        # net for a sentinel inherited by a fork outside this module
+        wait_s = 0.1 if deadline is None else \
+            min(0.1, max(0.0, deadline - time.monotonic()))
+        ready = mp_connection.wait([w.conn, w.proc.sentinel], wait_s)
+        if w.conn in ready or w.conn.poll(0):
+            try:
+                return "ok", w.conn.recv()[1]
+            except (EOFError, OSError):
+                return "died", None
+        if ready or not w.proc.is_alive():
+            return "died", None
+        if deadline is not None and time.monotonic() >= deadline:
+            return "timeout", None
 
 
 def compute_with_retry(worker: Callable[[dict], Any], spec: dict,
                        policy: RetryPolicy,
                        sleep: Callable[[float], None] = time.sleep,
                        on_failure: Optional[
-                           Callable[[str, int, bool], None]] = None
+                           Callable[[str, int, bool], None]] = None,
+                       pool: Optional[WorkerPool] = None
                        ) -> tuple[Any, dict]:
     """Run one point under ``policy``; returns ``(result, meta)``.
 
@@ -396,11 +587,15 @@ def compute_with_retry(worker: Callable[[dict], Any], spec: dict,
     ``"died"``, ``attempt`` is 1-based), letting the caller emit
     reaped/retried telemetry spans without polling.  Callback errors
     are swallowed: observability must never change a point's outcome.
+
+    Every attempt runs in a worker of ``pool`` (see :class:`WorkerPool`);
+    a reaped attempt discards only its own worker, so the retry lands
+    in a fresh one.
     """
     failures: list[str] = []
     for attempt in range(policy.retries + 1):
         try:
-            result = run_reaped(worker, spec, policy.timeout_s)
+            result = run_reaped(worker, spec, policy.timeout_s, pool=pool)
         except PointTimeout:
             failures.append("timeout")
         except WorkerDied:
@@ -431,7 +626,8 @@ def compute_point(worker: Callable[[dict], Any], spec: dict,
                   policy: RetryPolicy,
                   measure: Optional[dict] = None,
                   store=None, kind: str = "sweep",
-                  on_failure: Optional[Callable] = None
+                  on_failure: Optional[Callable] = None,
+                  pool: Optional[WorkerPool] = None
                   ) -> tuple[Any, int]:
     """One sweep point end-to-end: store lookup, reaped execution with
     retry/backoff, and — when ``measure`` asks for repetitions — the
@@ -443,7 +639,8 @@ def compute_point(worker: Callable[[dict], Any], spec: dict,
     federation agents (:mod:`repro.harness.federation`): the daemon
     passes its :class:`~repro.harness.cache.SharedStore`, an agent
     passes ``store=None`` and lets the coordinator arbitrate storage —
-    either way the computed rows are byte-identical.
+    either way the computed rows are byte-identical.  Each passes its
+    own :class:`WorkerPool`, so a point runs in a warm worker.
     """
     from repro.harness.stats import (MeasurePolicy, rep_spec, sample_of,
                                      should_stop, summarize_samples)
@@ -454,7 +651,8 @@ def compute_point(worker: Callable[[dict], Any], spec: dict,
             if cached is not None:
                 return cached, 0
         result, meta = compute_with_retry(worker, point_spec, policy,
-                                          on_failure=on_failure)
+                                          on_failure=on_failure,
+                                          pool=pool)
         if store is not None and not is_error_record(result):
             store.put(kind, point_spec, result)
         return result, meta["attempts"]

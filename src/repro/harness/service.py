@@ -12,11 +12,13 @@ crash-proof error records) into a long-running *service*:
   (sharded dirs, atomic rename-into-place, advisory locking, LRU
   eviction under a byte budget) that many daemons and CLI runs can
   read and write concurrently.
-* **Stuck-worker reaping** — every point runs in its own reapable
-  process under a wall-clock budget with exponential-backoff retries
+* **Stuck-worker reaping** — every point runs in a reapable worker
+  process (one of ``jobs`` persistent forked workers,
+  :class:`repro.harness.parallel.WorkerPool`) under a wall-clock budget
+  with exponential-backoff retries
   (:func:`repro.harness.parallel.compute_with_retry`); a hung worker
   becomes a completed (retried) point or an error record, never a hung
-  client, and a poisoned worker can only ever take its own point down.
+  client, and a poisoned worker is discarded with its own point.
 * **In-flight deduplication** — identical points submitted by
   different jobs (same content address and measurement policy) compute
   once and deliver everywhere.
@@ -60,6 +62,7 @@ from typing import Any, Callable, Optional
 from repro.harness.cache import SharedStore
 from repro.harness.parallel import (
     RetryPolicy,
+    WorkerPool,
     compute_point,
     is_error_record,
 )
@@ -147,6 +150,10 @@ class SweepService:
         self._draining = threading.Event()
         self._lock = threading.Lock()
         self._slots = threading.Semaphore(self.jobs)
+        #: the slots' persistent point workers, forked on first use
+        self.pool = WorkerPool(max(1, self.jobs))
+        #: notified on every job's ``done`` event (see :meth:`wait`)
+        self._job_done = threading.Condition()
         #: dedup key -> list of (job_id, index) awaiting that result
         self._inflight: dict[str, list[tuple[str, int]]] = {}
         self._deduped = 0
@@ -163,9 +170,9 @@ class SweepService:
         if self.started:
             return
         self.started = True
-        # Reaped point workers fork from this process; close the
-        # listening sockets in every child so an orphan (parent
-        # SIGKILLed mid-point) cannot keep the address half-alive.
+        # Point workers fork from this process and outlive many
+        # points; close the listening sockets in every child so a
+        # worker can never keep the address half-alive.
         mp_util.register_after_fork(self, SweepService._drop_listeners)
         dispatcher = threading.Thread(target=self._dispatch_loop,
                                       name="svc-dispatch", daemon=True)
@@ -192,6 +199,7 @@ class SweepService:
         for t in self._threads:
             t.join(timeout=5.0)
         self._threads.clear()
+        self.pool.close()
         self.telemetry.close()
         self.started = False
 
@@ -277,18 +285,22 @@ class SweepService:
 
     def wait(self, job_id: str, timeout_s: Optional[float] = None
              ) -> dict:
-        """Block until the job finishes; returns its full result set."""
-        deadline = None if timeout_s is None \
-            else time.monotonic() + timeout_s
-        while True:
+        """Block until the job finishes; returns its full result set.
+
+        Woken by the queue's ``done`` event (:meth:`_on_queue_event`),
+        never by polling; the queue emits it after the job is finished,
+        and the check runs under the same condition, so no wake-up can
+        fall between the check and the wait.
+        """
+        with self._job_done:
+            finished = self._job_done.wait_for(
+                lambda: self.queue.get(job_id).finished, timeout_s)
+        if not finished:
             job = self.queue.get(job_id)
-            if job.finished:
-                return self.result(job_id)
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"{job_id} still has {job.total - job.completed} "
-                    f"open point(s) after {timeout_s}s")
-            time.sleep(0.02)
+            raise TimeoutError(
+                f"{job_id} still has {job.total - job.completed} "
+                f"open point(s) after {timeout_s}s")
+        return self.result(job_id)
 
     def result(self, job_id: str) -> dict:
         job = self.queue.get(job_id)
@@ -320,6 +332,7 @@ class SweepService:
             "leases_active": self.queue.active_leases(),
             "lease_expirations": self.queue.lease_expirations,
             "duplicate_results": self.queue.duplicate_results,
+            "worker_pool": self.pool.stats(),
         }
 
     def agent_table(self) -> list[dict]:
@@ -342,6 +355,7 @@ class SweepService:
             inflight = len(self._inflight)
             agents = len(self._agents)
         jobs = self.queue.list_jobs()
+        pool = self.pool.stats()
         return render_prometheus(
             self.telemetry,
             queue_depth=self.queue.depth(),
@@ -353,7 +367,9 @@ class SweepService:
             agents=agents,
             leases_active=self.queue.active_leases(),
             lease_expirations=self.queue.lease_expirations,
-            duplicate_results=self.queue.duplicate_results)
+            duplicate_results=self.queue.duplicate_results,
+            worker_starts=pool["starts"],
+            worker_reaps=pool["reaps"])
 
     # -- dispatch -----------------------------------------------------------
     def _dispatch_loop(self) -> None:
@@ -470,7 +486,7 @@ class SweepService:
                              self._retry_policy(options),
                              measure=options.get("measure"),
                              store=self.store, kind=kind,
-                             on_failure=on_failure)
+                             on_failure=on_failure, pool=self.pool)
 
     # -- federation (coordinator side; see docs/service.md) -----------------
     def drain(self, grace_s: float = 30.0) -> dict:
@@ -681,6 +697,9 @@ class SweepService:
     # -- progress streaming -------------------------------------------------
     def _on_queue_event(self, kind: str, payload: dict) -> None:
         self._feed_telemetry(kind, payload)
+        if kind == "done":
+            with self._job_done:
+                self._job_done.notify_all()
         event = {"event": kind, **payload}
         with self._lock:
             watchers = list(self._watchers)

@@ -416,7 +416,10 @@ def render_prometheus(telemetry: Optional[Telemetry] = None,
                       store_entries: Optional[int] = None,
                       agents: int = 0, leases_active: int = 0,
                       lease_expirations: int = 0,
-                      duplicate_results: int = 0) -> str:
+                      duplicate_results: int = 0,
+                      worker_starts: int = 0,
+                      worker_reaps: Optional[Mapping[str, int]] = None
+                      ) -> str:
     """The service's ``GET /metrics`` body (Prometheus text format).
 
     Families: ``clmpi_queue_depth`` / ``clmpi_inflight_points`` /
@@ -424,7 +427,9 @@ def render_prometheus(telemetry: Optional[Telemetry] = None,
     ``clmpi_workers`` / ``clmpi_leases_active`` gauges,
     ``clmpi_points_total{outcome=...}``,
     ``clmpi_lease_expirations_total`` /
-    ``clmpi_duplicate_results_total`` and
+    ``clmpi_duplicate_results_total`` /
+    ``clmpi_worker_starts_total`` /
+    ``clmpi_worker_reaps_total{reason=...}`` and
     ``clmpi_store_<stat>_total`` counters,
     ``clmpi_spans_written_total`` / ``clmpi_span_log_rotations_total``,
     and one ``clmpi_point_latency_seconds`` histogram per job kind.
@@ -464,6 +469,15 @@ def render_prometheus(telemetry: Optional[Telemetry] = None,
            "Completions that lost the first-write-wins race.",
            [f"clmpi_duplicate_results_total "
             f"{_prom_num(duplicate_results)}"])
+    family("clmpi_worker_starts_total", "counter",
+           "Point-worker processes forked by the daemon's pool.",
+           [f"clmpi_worker_starts_total {_prom_num(worker_starts)}"])
+    worker_reaps = worker_reaps or {}
+    family("clmpi_worker_reaps_total", "counter",
+           "Point workers discarded mid-point, by reason.",
+           [f'clmpi_worker_reaps_total{{reason="{reason}"}} '
+            f"{_prom_num(worker_reaps.get(reason, 0))}"
+            for reason in ("timeout", "died")])
 
     counters = telemetry.registry.counters if telemetry is not None else {}
     outcome_lines = []
