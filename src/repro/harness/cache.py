@@ -45,6 +45,8 @@ from multiprocessing import util as mp_util
 from pathlib import Path
 from typing import Any, Optional
 
+from repro.canonical import canonical_json
+
 try:  # advisory file locking (POSIX); SharedStore degrades without it
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
@@ -98,10 +100,6 @@ def code_version() -> str:
     return _CODE_VERSION
 
 
-def _canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 class ResultCache:
     """JSON result store addressed by (kind, spec, code version).
 
@@ -145,8 +143,8 @@ class ResultCache:
     # -- keys ---------------------------------------------------------------
     def key(self, kind: str, spec: dict) -> str:
         """Stable content hash of one sweep point."""
-        payload = _canonical({"kind": kind, "spec": spec,
-                              "version": self.version})
+        payload = canonical_json({"kind": kind, "spec": spec,
+                                  "version": self.version})
         return hashlib.sha256(payload.encode()).hexdigest()[:32]
 
     def _path(self, kind: str, spec: dict) -> Path:
@@ -245,7 +243,7 @@ class ResultCache:
         path = self._path(kind, spec)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(_canonical({"spec": spec, "result": result}))
+        tmp.write_text(canonical_json({"spec": spec, "result": result}))
         tmp.replace(path)
 
     def clear(self) -> int:
@@ -291,7 +289,7 @@ class ResultCache:
                 tmp = self._stats_path.with_name(
                     f".stats.json.{os.getpid()}."
                     f"{threading.get_ident()}.tmp")
-                tmp.write_text(_canonical(stats))
+                tmp.write_text(canonical_json(stats))
                 tmp.replace(self._stats_path)
             except OSError:  # stats are best-effort; never fail a sweep
                 pass

@@ -2,24 +2,28 @@
 
 Every harness artefact (Fig 8/9/10, Table 1, the autotune survey) is a
 grid of *independent* simulations, each fully described by a small
-JSON-able spec dict.  :func:`sweep` maps a picklable worker over such a
-grid, optionally through a :class:`~repro.harness.cache.ResultCache`,
-and returns results **in spec order** regardless of completion order —
-so a serial run, a parallel run, and a warm-cache run produce
+JSON-able spec dict.  :func:`sweep` maps a worker over such a grid,
+optionally through a :class:`~repro.harness.cache.ResultCache`, and
+returns results **in spec order** regardless of completion order — so
+a serial run, a parallel run, and a warm-cache run produce
 byte-identical reports.
 
 Contract for workers:
 
-* a module-level function (picklable by reference) taking one spec dict;
+* any callable taking one spec dict (pooled workers are forked, so
+  only specs and rows cross a pipe);
 * returns a JSON-able dict of primitives — no tuples, no objects — so
-  the value survives both the pickle hop from a pool worker and the
+  the value survives both the pipe hop from a pooled worker and the
   JSON round-trip through the cache without changing shape.
 
-A sweep never dies with its points: a worker that raises — or a pool
+A sweep never dies with its points: a worker that raises — or a worker
 process that is killed outright — yields an *error record* (see
 :func:`is_error_record`) in that point's slot, and every other point
 still completes.  Error records are never written to the cache, so a
 repaired run recomputes exactly the failed points.
+
+``sweep -j N``, the sweep service and the federation agents all run
+points through :func:`compute_with_retry` on a :class:`WorkerPool`.
 """
 
 from __future__ import annotations
@@ -29,8 +33,7 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Optional, Sequence
@@ -74,15 +77,19 @@ def sweep(worker: Callable[[dict], Any], specs: Sequence[dict],
           telemetry=None) -> list[Any]:
     """``[worker(s) for s in specs]``, cached, fanned out, crash-proof.
 
-    Cache lookups and stores happen here in the parent — pool workers
-    never touch the cache directory, so no locking is needed and the
-    hit/miss counters are exact.  ``jobs=1`` (or a one-point grid) runs
-    inline with no pool at all; results are identical either way because
-    each point is an isolated simulation.
+    Cache lookups and stores happen here in the calling thread — pooled
+    workers never touch the cache directory, so no locking is needed
+    and the hit/miss counters are exact.  ``jobs=1`` (or a one-point
+    grid) runs inline with no pool at all; otherwise the points fan out
+    over a :class:`WorkerPool` opened for this call, one parent thread
+    per slot.  Results are identical either way because each point is
+    an isolated simulation.
 
-    A point whose worker raises (or whose pool process dies) comes back
-    as an error record instead of aborting the sweep; the figure code
-    skips such slots and reports a partial result.
+    A point whose worker raises comes back as an error record instead
+    of aborting the sweep; the figure code skips such slots and reports
+    a partial result.  A pooled worker that dies is retried once in a
+    fresh worker, then leaves a ``WorkerDied`` error record; no other
+    point is disturbed.
 
     ``telemetry`` (a :class:`repro.obs.telemetry.Telemetry`, or None)
     receives the same lifecycle spans the sweep service emits — every
@@ -119,7 +126,7 @@ def sweep(worker: Callable[[dict], Any], specs: Sequence[dict],
                 for i in todo:
                     telemetry.point_claimed("sweep", i, kind)
                     telemetry.point_running("sweep", i, kind)
-            computed = _run_pool(worker, pending, njobs)
+            computed = _run_pooled(worker, pending, njobs)
             if telemetry is not None:
                 for i, result in zip(todo, computed):
                     telemetry.point_done(
@@ -161,42 +168,32 @@ def _run_inline(worker: Callable[[dict], Any], spec: dict) -> Any:
         return error_record(spec, exc)
 
 
-def _run_pool(worker: Callable[[dict], Any], pending: list[dict],
-              njobs: int) -> list[Any]:
-    """Fan ``pending`` over a process pool, isolating failures per slot."""
+def _run_pooled(worker: Callable[[dict], Any], pending: list[dict],
+                njobs: int) -> list[Any]:
+    """``pending`` on a fresh :class:`WorkerPool`, a thread per slot."""
     computed: list[Any] = [None] * len(pending)
-    broken: list[int] = []
-    with ProcessPoolExecutor(max_workers=min(njobs, len(pending))) as pool:
-        futures = [(pool.submit(worker, spec), k)
-                   for k, spec in enumerate(pending)]
-        for fut, k in futures:
+    todo = deque(range(len(pending)))
+
+    def slot() -> None:
+        while True:
             try:
-                computed[k] = fut.result()
-            except BrokenProcessPool:
-                # A killed worker process poisons the *whole* pool:
-                # every still-pending future fails with this, no matter
-                # which spec actually crashed.  Defer them all.
-                broken.append(k)
-            except Exception as exc:
+                k = todo.popleft()
+            except IndexError:
+                return
+            try:
+                computed[k], _ = compute_with_retry(
+                    worker, pending[k], _SWEEP_RETRY, pool=pool)
+            except Exception as exc:  # e.g. the spec would not pickle
                 computed[k] = error_record(pending[k], exc)
-    # Isolation round: rerun each deferred point in its own one-worker
-    # pool, so only the spec that genuinely kills its interpreter ends
-    # up as an error record — innocent bystanders just recompute.
-    for k in broken:
-        computed[k] = _run_isolated(worker, pending[k])
+
+    with WorkerPool(min(njobs, len(pending))) as pool:
+        threads = [threading.Thread(target=slot, daemon=True)
+                   for _ in range(pool.size)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
     return computed
-
-
-def _run_isolated(worker: Callable[[dict], Any], spec: dict) -> Any:
-    try:
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            return pool.submit(worker, spec).result()
-    except BrokenProcessPool as exc:
-        return error_record(
-            spec, exc, "worker process died (killed, or it crashed "
-            "the interpreter) while computing this point")
-    except Exception as exc:
-        return error_record(spec, exc)
 
 
 def measured_sweep(worker: Callable[[dict], Any],
@@ -215,54 +212,73 @@ def measured_sweep(worker: Callable[[dict], Any],
     repetition loop: rep 0 is the bare spec (shared cache address with
     plain sweeps), later reps are salted via
     :func:`~repro.harness.stats.rep_spec`, and the final row (plus its
-    embedded ``report``, when present) carries the ``stats`` record —
-    the same shape the sweep service attaches for measured jobs.
+    embedded ``report``, when present) carries the ``stats`` record.
+    The loop is :func:`compute_point`'s, so rows — and a repetition's
+    error record, which fails its point — match the sweep service's.
 
-    Repetitions of one point run *inside* that point's slot, so the
-    fan-out over points is unchanged; each rep is cached individually
-    and a warm rerun replays the identical samples (determinism: the
-    stats of a rerun are byte-identical).
+    Rep 0 of every point fans out as a plain :func:`sweep`; later reps
+    run inline, each cached individually, so a warm rerun replays the
+    identical samples (determinism: the stats of a rerun are
+    byte-identical).
     """
-    from repro.harness.stats import (MeasurePolicy, rep_spec, sample_of,
-                                     should_stop, summarize_samples)
+    from repro.harness.stats import MeasurePolicy
     policy = MeasurePolicy.from_dict(measure)
+    results = sweep(worker, specs, jobs=jobs, cache=cache, kind=kind,
+                    telemetry=telemetry)
     if policy.single_shot:
-        return sweep(worker, specs, jobs=jobs, cache=cache, kind=kind,
-                     telemetry=telemetry)
+        return results
 
-    results: list[Any] = list(
-        sweep(worker, specs, jobs=jobs, cache=cache, kind=kind,
-              telemetry=telemetry))
-    for i, base in enumerate(results):
-        if is_error_record(base) or sample_of(base) is None:
-            continue  # nothing measurable: deliver the plain row
-        samples = [sample_of(base)]
-        rep = 1
-        while not should_stop(samples, policy):
-            salted = rep_spec(specs[i], rep)
-            result = None
-            if cache is not None:
-                result = cache.get(kind, salted)
-            if result is None:
-                result = _run_inline(worker, salted)
-                if cache is not None and not is_error_record(result):
-                    cache.put(kind, salted, result)
-            if is_error_record(result):
-                break
-            sample = sample_of(result)
-            if sample is None:
-                break
-            samples.append(sample)
-            rep += 1
-        stats = summarize_samples(samples, policy.confidence)
-        final = dict(base)
-        final["stats"] = stats
-        if isinstance(final.get("report"), dict):
-            report = dict(final["report"])
-            report["stats"] = stats
-            final["report"] = report
-        results[i] = final
-    return results
+    def one(salted: dict) -> tuple[Any, int]:
+        return sweep(worker, [salted], jobs=1, cache=cache, kind=kind)[0], 0
+
+    return [_repeat(one, spec, policy, first=(base, 0))[0]
+            for spec, base in zip(specs, results)]
+
+
+def _repeat(one: Callable[[dict], tuple[Any, int]], spec: dict, policy,
+            first: Optional[tuple[Any, int]] = None) -> tuple[Any, int]:
+    """The Hunold & Carpen-Amarie adaptive-measurement loop for one
+    point, shared by :func:`measured_sweep` and :func:`compute_point`.
+
+    ``one(rep_spec)`` computes one repetition as ``(row, attempts)``;
+    ``first`` is rep 0's outcome when the caller already has it.  An
+    error record from any repetition fails the point, and a row with
+    nothing measurable is delivered plain.  Returns ``(row, attempts)``
+    with the worst per-rep launch count.
+    """
+    from repro.harness.stats import (rep_spec, sample_of, should_stop,
+                                     summarize_samples)
+    samples: list[float] = []
+    base: Optional[dict] = None
+    attempts_total = 0
+    rep = 0
+    while True:
+        if rep == 0 and first is not None:
+            result, attempts = first
+        else:
+            result, attempts = one(rep_spec(spec, rep))
+        attempts_total = max(attempts_total, attempts)
+        if is_error_record(result):
+            return result, attempts_total
+        sample = sample_of(result)
+        if sample is None:
+            # nothing measurable in this worker's rows: stats are
+            # impossible, deliver the plain result
+            return result, attempts_total
+        if rep == 0:
+            base = result
+        samples.append(sample)
+        rep += 1
+        if should_stop(samples, policy):
+            break
+    final = dict(base)
+    stats = summarize_samples(samples, policy.confidence)
+    final["stats"] = stats
+    if isinstance(final.get("report"), dict):
+        report = dict(final["report"])
+        report["stats"] = stats
+        final["report"] = report
+    return final, attempts_total
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +321,11 @@ class RetryPolicy:
 
     def delay(self, retry_index: int) -> float:
         return min(self.backoff_cap_s, self.backoff_s * (2 ** retry_index))
+
+
+#: ``sweep -j N``'s policy: no deadline, and one retry in a fresh worker
+#: for a point whose worker died
+_SWEEP_RETRY = RetryPolicy(timeout_s=None, retries=1, backoff_s=0)
 
 
 def _point_child(worker: Callable[[dict], Any], spec: dict, conn) -> None:
@@ -642,8 +663,7 @@ def compute_point(worker: Callable[[dict], Any], spec: dict,
     either way the computed rows are byte-identical.  Each passes its
     own :class:`WorkerPool`, so a point runs in a warm worker.
     """
-    from repro.harness.stats import (MeasurePolicy, rep_spec, sample_of,
-                                     should_stop, summarize_samples)
+    from repro.harness.stats import MeasurePolicy
 
     def one(point_spec: dict) -> tuple[Any, int]:
         if store is not None:
@@ -661,31 +681,4 @@ def compute_point(worker: Callable[[dict], Any], spec: dict,
     if policy_m.single_shot:
         # the zero-cost path: no sampling, no stats arithmetic
         return one(spec)
-    samples: list[float] = []
-    base: Optional[dict] = None
-    attempts_total = 0
-    rep = 0
-    while True:
-        result, attempts = one(rep_spec(spec, rep))
-        attempts_total = max(attempts_total, attempts)
-        if is_error_record(result):
-            return result, attempts_total
-        sample = sample_of(result)
-        if sample is None:
-            # nothing measurable in this worker's rows: stats are
-            # impossible, deliver the plain result
-            return result, attempts_total
-        if rep == 0:
-            base = result
-        samples.append(sample)
-        rep += 1
-        if should_stop(samples, policy_m):
-            break
-    final = dict(base)
-    stats = summarize_samples(samples, policy_m.confidence)
-    final["stats"] = stats
-    if isinstance(final.get("report"), dict):
-        report = dict(final["report"])
-        report["stats"] = stats
-        final["report"] = report
-    return final, attempts_total
+    return _repeat(one, spec, policy_m)

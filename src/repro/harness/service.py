@@ -59,6 +59,7 @@ from multiprocessing import util as mp_util
 from pathlib import Path
 from typing import Any, Callable, Optional
 
+from repro.canonical import canonical_json
 from repro.harness.cache import SharedStore
 from repro.harness.parallel import (
     RetryPolicy,
@@ -99,10 +100,6 @@ def resolve_worker(path: str) -> Callable[[dict], Any]:
     if not callable(fn):
         raise ValueError(f"worker {path!r} is not a callable")
     return fn
-
-
-def _canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class SweepService:
@@ -437,7 +434,7 @@ class SweepService:
 
     def _dedup_key(self, kind: str, spec: dict, options: dict) -> str:
         measure = options.get("measure") or {}
-        return self.store.key(kind, spec) + "/" + _canonical(measure)
+        return self.store.key(kind, spec) + "/" + canonical_json(measure)
 
     def _retry_policy(self, options: dict) -> RetryPolicy:
         d = self.default_policy
@@ -892,7 +889,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def _send(self, payload: dict) -> None:
         try:
-            self.wfile.write(_canonical(payload).encode() + b"\n")
+            self.wfile.write(canonical_json(payload).encode() + b"\n")
             self.wfile.flush()
         except OSError:
             pass
@@ -952,7 +949,7 @@ class _Handler(socketserver.StreamRequestHandler):
             return
         status, payload = self._http_route(service, method,
                                            target.rstrip("/"), body)
-        data = (_canonical(payload) + "\n").encode()
+        data = (canonical_json(payload) + "\n").encode()
         reason = {200: "OK", 400: "Bad Request",
                   404: "Not Found"}.get(status, "OK")
         self._send_http(status, reason, "application/json", data)
@@ -1070,7 +1067,7 @@ class ServiceClient:
                    timeout_s: Optional[float] = None) -> dict:
         sock = self._connect(timeout_s)
         try:
-            sock.sendall(_canonical(request).encode() + b"\n")
+            sock.sendall(canonical_json(request).encode() + b"\n")
             return self._read_line(sock)
         finally:
             sock.close()
@@ -1136,8 +1133,8 @@ class ServiceClient:
         sock = self._connect(timeout_s)
         sock.settimeout(timeout_s if timeout_s is not None else None)
         try:
-            sock.sendall(_canonical({"op": "watch",
-                                     "job": job_id}).encode() + b"\n")
+            sock.sendall(canonical_json({"op": "watch",
+                                         "job": job_id}).encode() + b"\n")
             buf = b""
             while True:
                 chunk = sock.recv(1 << 16)

@@ -39,6 +39,7 @@ import time
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
+from repro.canonical import canonical_json
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["SpanLog", "Telemetry", "PROM_CONTENT_TYPE",
@@ -62,10 +63,6 @@ PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: how often the sidecar stats file is refreshed (every N spans)
 _STATS_EVERY = 128
-
-
-def _canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class SpanLog:
@@ -110,7 +107,7 @@ class SpanLog:
         write fails — a straggler worker thread finishing after daemon
         shutdown must never die on its telemetry.
         """
-        line = _canonical(record) + "\n"
+        line = canonical_json(record) + "\n"
         with self._lock:
             try:
                 if self._fh.tell() + len(line) > self.max_bytes \
@@ -137,7 +134,7 @@ class SpanLog:
 
     def _write_stats(self) -> None:
         """Refresh the sidecar (atomic, best-effort)."""
-        payload = _canonical(self.stats())
+        payload = canonical_json(self.stats())
         tmp = self.stats_path.with_name(
             f".{TELEMETRY_STATS_NAME}.{os.getpid()}.tmp")
         try:

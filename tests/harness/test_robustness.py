@@ -7,11 +7,13 @@ import os
 import pytest
 
 from repro.harness.cache import ResultCache
-from repro.harness.parallel import error_record, is_error_record, sweep
+from repro.harness.parallel import (RetryPolicy, compute_point,
+                                    error_record, is_error_record,
+                                    measured_sweep, sweep)
 
 
 # ---------------------------------------------------------------------------
-# pool workers (module-level: picklable by reference)
+# sweep workers (module-level, like the harness's own)
 # ---------------------------------------------------------------------------
 def doubling_worker(spec):
     return {"x2": spec["x"] * 2}
@@ -23,6 +25,22 @@ def crashing_worker(spec):
     if spec.get("raise"):
         raise ValueError(f"bad spec {spec['x']}")
     return {"x2": spec["x"] * 2}
+
+
+def dies_once_worker(spec):
+    """Kills its interpreter on the first attempt at a ``die_once``
+    point only; the marker file remembers that attempt."""
+    marker = spec.get("die_once")
+    if marker and not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(13)
+    return {"x2": spec["x"] * 2}
+
+
+def rep1_raising_worker(spec):
+    if spec.get("rep") == 1:
+        raise ValueError(f"rep 1 of {spec['x']} failed")
+    return {"x": spec["x"], "seconds": 1e-3 * (spec["x"] + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +101,17 @@ class TestCrashProofSweep:
         assert results[0] == {"x2": 0}
         assert results[2] == {"x2": 4}
         assert results[4] == {"x2": 8}
-        assert results[1]["sweep_error"]["type"] == "BrokenProcessPool"
+        assert results[1]["sweep_error"]["type"] == "WorkerDied"
         assert results[1]["sweep_error"]["spec"] == specs[1]
         err3 = results[3]["sweep_error"]
         assert err3["type"] == "ValueError" and "bad spec 3" in err3["message"]
+
+    def test_worker_dying_once_is_retried_in_a_fresh_worker(self, tmp_path):
+        specs = [{"x": 0}, {"x": 1, "die_once": str(tmp_path / "died")},
+                 {"x": 2}, {"x": 3}]
+        results = sweep(dies_once_worker, specs, jobs=2)
+        assert (tmp_path / "died").exists()
+        assert results == [{"x2": 0}, {"x2": 2}, {"x2": 4}, {"x2": 6}]
 
     def test_error_records_are_never_cached(self, tmp_path):
         specs = [{"x": 0}, {"x": 1, "raise": True}]
@@ -103,6 +128,25 @@ class TestCrashProofSweep:
                         [{"x": 1, "raise": True}, {"x": 2}], jobs=1)
         assert is_error_record(results[0])
         assert results[1] == {"x2": 4}
+
+    @pytest.mark.parametrize("executor", ["serial", "-j2", "point"])
+    def test_failed_repetition_fails_the_point(self, executor):
+        """A repetition that raises fails its point identically on
+        every executor (the daemon's and agents' is ``compute_point``)."""
+        specs = [{"x": 0}, {"x": 1}]
+        measure = {"min_reps": 3, "max_reps": 3}
+        if executor == "point":
+            rows = [compute_point(rep1_raising_worker, spec,
+                                  RetryPolicy(), measure=measure)[0]
+                    for spec in specs]
+        else:
+            rows = measured_sweep(rep1_raising_worker, specs,
+                                  measure=measure,
+                                  jobs=1 if executor == "serial" else 2)
+        assert rows == [
+            error_record(dict(spec, rep=1),
+                         ValueError(f"rep 1 of {spec['x']} failed"))
+            for spec in specs]
 
     def test_is_error_record_shape(self):
         rec = error_record({"x": 1}, ValueError("boom"))
